@@ -11,15 +11,14 @@
 use datanet::{ElasticMapArray, FordFulkersonPlanner, Separation};
 use datanet_bench::{movie_dataset, Table, NODES};
 use datanet_mapreduce::{
-    run_selection, DataNetScheduler, DelayScheduler, LocalityScheduler, PlannedScheduler,
-    SelectionConfig,
+    DataNetScheduler, DelayScheduler, LocalityScheduler, PlannedScheduler, Run,
 };
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
-    let cfg = SelectionConfig::default();
+    let run = Run::default();
 
     let mut t = Table::new([
         "scheduler",
@@ -45,12 +44,12 @@ fn main() {
     };
 
     let mut base = LocalityScheduler::new(&dfs);
-    let o = run_selection(&dfs, &truth, &mut base, &cfg);
+    let o = run.select(&dfs, &truth, &mut base);
     report("locality (Hadoop)", "none", &o);
 
     // Delay scheduling fixes locality, not distribution: same imbalance.
     let mut delay = DelayScheduler::new(&dfs, 3);
-    let o = run_selection(&dfs, &truth, &mut delay, &cfg);
+    let o = run.select(&dfs, &truth, &mut delay);
     report("delay scheduling", "none", &o);
 
     for (label, sep) in [
@@ -60,7 +59,7 @@ fn main() {
     ] {
         let view = ElasticMapArray::build(&dfs, &sep).view(hot);
         let mut dn = DataNetScheduler::new(&dfs, &view);
-        let o = run_selection(&dfs, &truth, &mut dn, &cfg);
+        let o = run.select(&dfs, &truth, &mut dn);
         report("algorithm 1 (paced)", label, &o);
     }
 
@@ -68,13 +67,13 @@ fn main() {
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
     let mut literal =
         DataNetScheduler::with_policy(&dfs, &view, datanet::BalancePolicy::BestFitTerminal);
-    let o = run_selection(&dfs, &truth, &mut literal, &cfg);
+    let o = run.select(&dfs, &truth, &mut literal);
     report("algorithm 1 (best-fit literal)", "alpha=0.3", &o);
 
     let view = ElasticMapArray::build(&dfs, &Separation::All).view(hot);
     let plan = FordFulkersonPlanner::new(&dfs, &view).plan();
     let mut ff = PlannedScheduler::new(&plan, dfs.namenode());
-    let o = run_selection(&dfs, &truth, &mut ff, &cfg);
+    let o = run.select(&dfs, &truth, &mut ff);
     report("ford-fulkerson", "exact (All)", &o);
 
     t.print();

@@ -11,9 +11,7 @@ use datanet::{plan_aggregation, AggregationPlan, ElasticMapArray, Separation};
 use datanet_analytics::profiles::word_count_profile;
 use datanet_bench::{movie_dataset, Table, NODES};
 use datanet_dfs::NodeId;
-use datanet_mapreduce::{
-    run_analysis_aggregated, run_selection, AnalysisConfig, LocalityScheduler, SelectionConfig,
-};
+use datanet_mapreduce::{LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
@@ -24,10 +22,10 @@ fn main() {
     // (after DataNet's balanced selection there is little to win — both
     // plans are evaluated in `tests/` for that case).
     let _ = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
+    let run = Run::default();
     let mut base = LocalityScheduler::new(&dfs);
-    let selection = run_selection(&dfs, &truth, &mut base, &SelectionConfig::default());
+    let selection = run.select(&dfs, &truth, &mut base);
     let job = word_count_profile();
-    let cfg = AnalysisConfig::default();
     let outputs: Vec<u64> = selection
         .per_node_bytes
         .iter()
@@ -56,7 +54,7 @@ fn main() {
         ("placement only", &placed),
         ("placement + weighted shares", &weighted),
     ] {
-        let rep = run_analysis_aggregated(&selection.per_node_bytes, &job, &cfg, plan);
+        let rep = run.analyze(&selection.per_node_bytes, &job, Some(plan));
         t.row([
             name.to_string(),
             plan.reducers.len().to_string(),

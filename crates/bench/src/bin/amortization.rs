@@ -10,10 +10,7 @@ use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::word_count_profile;
 use datanet_bench::{movie_dataset, Table, NODES};
 use datanet_cluster::NodeSpec;
-use datanet_mapreduce::{
-    rebalance, run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{rebalance, DataNetScheduler, LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
@@ -25,8 +22,7 @@ fn main() {
         .map(|(m, _)| m)
         .collect();
     let job = word_count_profile();
-    let sel = SelectionConfig::default();
-    let ana = AnalysisConfig::default();
+    let run = Run::default();
 
     // One-off: build the meta-data for ALL sub-datasets in a single scan.
     // Scan cost ≈ one pass over every block at disk+scan speed, parallel
@@ -51,16 +47,16 @@ fn main() {
 
         // DataNet path: balanced selection + job.
         let mut dn = DataNetScheduler::new(&dfs, &maps.view(m));
-        let with = run_selection(&dfs, &truth, &mut dn, &sel);
-        let jd = run_analysis(&with.per_node_bytes, &job, &ana);
+        let with = run.select(&dfs, &truth, &mut dn);
+        let jd = run.analyze(&with.per_node_bytes, &job, None);
         let dn_secs = datanet_mapreduce::total_secs(with.end, jd.makespan_secs);
         datanet_total += dn_secs;
 
         // Reactive path: oblivious selection, then migrate, then job.
         let mut base = LocalityScheduler::new(&dfs);
-        let without = run_selection(&dfs, &truth, &mut base, &sel);
+        let without = run.select(&dfs, &truth, &mut base);
         let mig = rebalance(&without.per_node_bytes, &NodeSpec::marmot());
-        let jm = run_analysis(&mig.balanced, &job, &ana);
+        let jm = run.analyze(&mig.balanced, &job, None);
         let mig_secs =
             datanet_mapreduce::total_secs(without.end, mig.migration_secs + jm.makespan_secs);
         migration_total += mig_secs;

@@ -18,7 +18,7 @@
 //! damaged in a freshly persisted 2-replica store: some lose only their
 //! primary copy (scrub repairs them), some lose every full copy but keep
 //! summaries (rung 2), and some lose everything (rung 3, quarantined). The
-//! run then selects through `run_selection_resilient` and reports the
+//! run then selects through `Run::select_resilient` and reports the
 //! degradation-ladder rung mix, the Equation 6 estimate error and the bytes
 //! recovered.
 //!
@@ -38,9 +38,7 @@ use datanet::{ElasticMapArray, Separation};
 use datanet_bench::{movie_dataset, quick, Table, NODES};
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_mapreduce::{
-    run_selection, run_selection_faulty, run_selection_faulty_traced, run_selection_resilient,
-    DataNetScheduler, FaultConfig, LocalityScheduler, MapScheduler, SelectionConfig,
-    SelectionOutcome,
+    DataNetScheduler, FaultConfig, LocalityScheduler, MapScheduler, Run, SelectionOutcome,
 };
 use datanet_obs::{ObsSummary, Recorder};
 use rand::rngs::StdRng;
@@ -168,11 +166,10 @@ fn main() {
     let total = dfs.subdataset_total(hot) as f64;
     let array = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
     let view = array.view(hot);
-    let sel = SelectionConfig::default();
 
     // Fault horizon: crashes land inside the healthy phase.
     let mut probe = LocalityScheduler::new(&dfs);
-    let healthy_end = run_selection(&dfs, &truth, &mut probe, &sel).end;
+    let healthy_end = Run::default().select(&dfs, &truth, &mut probe).end;
     let horizon = SimTime::from_micros(healthy_end.as_micros().max(1));
 
     let (rates, seeds): (&[f64], u64) = if quick() {
@@ -200,7 +197,11 @@ fn main() {
                 FaultConfig::new(plan)
             };
             let mut sched = mk();
-            let out = run_selection_faulty(&dfs, &truth, sched.as_mut(), &sel, &faults);
+            let out = Run {
+                faults: Some(&faults),
+                ..Run::default()
+            }
+            .select(&dfs, &truth, sched.as_mut());
             acc.recovered += out.per_node_bytes.iter().sum::<u64>() as f64 / total;
             acc.survivor_imbalance += survivor_imbalance(&out);
             acc.phase_secs += out.end.as_secs_f64();
@@ -310,7 +311,7 @@ fn main() {
             );
 
             let scrubbed = store.scrub();
-            let out = run_selection_resilient(&dfs, hot, &mut store, &sel, None);
+            let out = Run::default().select_resilient(&dfs, hot, &mut store);
             acc.repaired += scrubbed.repaired as f64;
             acc.quarantined += scrubbed.quarantined.len() as f64;
             acc.rung_exact += out.meta.rungs.exact as f64;
@@ -365,10 +366,14 @@ fn main() {
         let rate = rates.last().copied().unwrap_or(0.5).max(0.25);
         let plan = FaultPlan::random(NODES as usize, 0xFA01, rate, horizon);
         let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
-        let rec = Recorder::new();
+        let run = Run {
+            faults: Some(&faults),
+            rec: Recorder::new(),
+            ..Run::default()
+        };
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        let out = run_selection_faulty_traced(&dfs, &truth, &mut sched, &sel, &faults, &rec);
-        let data = rec.take();
+        let out = run.select(&dfs, &truth, &mut sched);
+        let data = run.rec.take();
         let summary = data.summary(None);
         fs::write(&path, data.to_chrome_json()).unwrap();
         println!(

@@ -7,7 +7,7 @@
 //!     Hadoop's default block-locality scheduling: heavily imbalanced.
 
 use datanet_bench::{movie_dataset, quick, Table, NODES};
-use datanet_mapreduce::{run_selection, LocalityScheduler, SelectionConfig};
+use datanet_mapreduce::{LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
@@ -35,7 +35,7 @@ fn main() {
     println!("== Figure 1(b): workload distribution over cluster nodes ==");
     println!("(bytes of movie {hot} filtered onto each of {NODES} nodes, locality scheduling)");
     let mut sched = LocalityScheduler::new(&dfs);
-    let out = run_selection(&dfs, &dist, &mut sched, &SelectionConfig::default());
+    let out = Run::default().select(&dfs, &dist, &mut sched);
     let mut t = Table::new(["node", "kB"]);
     for (n, b) in out.per_node_bytes.iter().enumerate() {
         t.row([n.to_string(), format!("{:.1}", *b as f64 / 1024.0)]);

@@ -9,13 +9,13 @@
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_bench::{movie_dataset, quick, Table, NODES};
-use datanet_mapreduce::{run_selection, DataNetScheduler, SelectionConfig};
+use datanet_mapreduce::{DataNetScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
-    let sel = SelectionConfig::default();
+    let run = Run::default();
 
     println!("== Figure 10: workload balance vs alpha (normalised by max) ==");
     let mut t = Table::new(["alpha", "max", "min", "avg", "std dev"]);
@@ -23,7 +23,7 @@ fn main() {
         let alpha = pct as f64 / 100.0;
         let view = ElasticMapArray::build(&dfs, &Separation::Alpha(alpha)).view(hot);
         let mut dn = DataNetScheduler::new(&dfs, &view);
-        let out = run_selection(&dfs, &truth, &mut dn, &sel);
+        let out = run.select(&dfs, &truth, &mut dn);
         let s = out.workload_summary();
         let norm = s.max();
         t.row([

@@ -11,10 +11,7 @@ use datanet_analytics::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet_bench::{movie_dataset, quick, Table, NODES};
-use datanet_mapreduce::{
-    run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
@@ -24,14 +21,13 @@ fn main() {
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
 
     // Selection under both schedulers.
-    let sel_cfg = SelectionConfig::default();
+    let run = Run::default();
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel_cfg);
+    let without = run.select(&dfs, &truth, &mut base);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection(&dfs, &truth, &mut dn, &sel_cfg);
+    let with = run.select(&dfs, &truth, &mut dn);
 
     println!("== Figure 5(a): overall execution time (s) of the four jobs ==");
-    let ana = AnalysisConfig::default();
     let jobs = [
         moving_average_profile(),
         word_count_profile(),
@@ -46,8 +42,8 @@ fn main() {
         "cpu util (w/o -> w/)",
     ]);
     for job in &jobs {
-        let jw = run_analysis(&without.per_node_bytes, job, &ana);
-        let jd = run_analysis(&with.per_node_bytes, job, &ana);
+        let jw = run.analyze(&without.per_node_bytes, job, None);
+        let jd = run.analyze(&with.per_node_bytes, job, None);
         let impr = 100.0 * (1.0 - jd.makespan_secs / jw.makespan_secs);
         t.row([
             job.name.clone(),

@@ -10,27 +10,23 @@
 use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::{moving_average_profile, top_k_profile, word_count_profile};
 use datanet_bench::{movie_dataset, quick, Table, NODES};
-use datanet_mapreduce::{
-    run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
-    let sel = SelectionConfig::default();
-    let ana = AnalysisConfig::default();
+    let run = Run::default();
 
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel);
+    let without = run.select(&dfs, &truth, &mut base);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection(&dfs, &truth, &mut dn, &sel);
+    let with = run.select(&dfs, &truth, &mut dn);
 
     println!("== Figure 6(a): Top-K Search map time per node (s) ==");
-    let tw = run_analysis(&without.per_node_bytes, &top_k_profile(), &ana);
-    let td = run_analysis(&with.per_node_bytes, &top_k_profile(), &ana);
+    let tw = run.analyze(&without.per_node_bytes, &top_k_profile(), None);
+    let td = run.analyze(&with.per_node_bytes, &top_k_profile(), None);
     let mut t = Table::new(["node", "without DataNet", "with DataNet"]);
     let rows = if quick() { 8 } else { NODES as usize };
     for n in 0..rows {
@@ -55,7 +51,7 @@ fn main() {
             ("without DataNet", &without.per_node_bytes),
             ("with DataNet", &with.per_node_bytes),
         ] {
-            let rep = run_analysis(filtered, &profile, &ana);
+            let rep = run.analyze(filtered, &profile, None);
             let s = rep.map_summary();
             t.row([
                 profile.name.clone(),

@@ -8,23 +8,19 @@
 use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::{top_k_profile, word_count_profile};
 use datanet_bench::{movie_dataset, quick, Table, NODES};
-use datanet_mapreduce::{
-    run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
-    let sel = SelectionConfig::default();
-    let ana = AnalysisConfig::default();
+    let run = Run::default();
 
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel);
+    let without = run.select(&dfs, &truth, &mut base);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection(&dfs, &truth, &mut dn, &sel);
+    let with = run.select(&dfs, &truth, &mut dn);
 
     println!("== Figure 7: shuffle execution time (s), min/avg/max ==");
     let mut t = Table::new(["job", "variant", "min", "avg", "max"]);
@@ -35,8 +31,8 @@ fn main() {
         vec![word_count_profile(), top_k_profile()]
     };
     for profile in profiles {
-        let jw = run_analysis(&without.per_node_bytes, &profile, &ana);
-        let jd = run_analysis(&with.per_node_bytes, &profile, &ana);
+        let jw = run.analyze(&without.per_node_bytes, &profile, None);
+        let jd = run.analyze(&with.per_node_bytes, &profile, None);
         for (name, rep) in [("without DataNet", &jw), ("with DataNet", &jd)] {
             let s = rep.shuffle_summary();
             t.row([

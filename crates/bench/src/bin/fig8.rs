@@ -11,10 +11,7 @@
 use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::top_k_profile;
 use datanet_bench::{github_dataset, quick, Table, NODES};
-use datanet_mapreduce::{
-    run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 use datanet_workloads::EventType;
 
 fn main() {
@@ -36,11 +33,11 @@ fn main() {
     );
 
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(issue);
-    let sel = SelectionConfig::default();
+    let run = Run::default();
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel);
+    let without = run.select(&dfs, &truth, &mut base);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection(&dfs, &truth, &mut dn, &sel);
+    let with = run.select(&dfs, &truth, &mut dn);
 
     println!("== Figure 8(b): IssueEvent workload per node (kB) ==");
     let mut t = Table::new(["node", "without DataNet", "with DataNet"]);
@@ -53,9 +50,8 @@ fn main() {
     }
     t.print();
 
-    let ana = AnalysisConfig::default();
-    let tw = run_analysis(&without.per_node_bytes, &top_k_profile(), &ana);
-    let td = run_analysis(&with.per_node_bytes, &top_k_profile(), &ana);
+    let tw = run.analyze(&without.per_node_bytes, &top_k_profile(), None);
+    let td = run.analyze(&with.per_node_bytes, &top_k_profile(), None);
     println!(
         "\nTop-K Search longest map: without = {:.3}s, with = {:.3}s ({:.1}% better)",
         tw.map_summary().max(),

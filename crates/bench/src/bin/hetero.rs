@@ -13,10 +13,7 @@ use datanet::{Algorithm1, ElasticMapArray, Separation};
 use datanet_analytics::profiles::top_k_profile;
 use datanet_bench::{movie_dataset, Table, NODES};
 use datanet_cluster::NodeSpec;
-use datanet_mapreduce::{
-    capability_of, run_analysis_hetero, run_selection, AnalysisConfig, LocalityScheduler,
-    PlannedScheduler, SelectionConfig,
-};
+use datanet_mapreduce::{capability_of, LocalityScheduler, PlannedScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
@@ -36,19 +33,21 @@ fn main() {
         .collect();
     let caps: Vec<f64> = specs.iter().map(|s| capability_of(s, &job)).collect();
 
-    let sel = SelectionConfig::default();
-    let ana = AnalysisConfig::default();
+    let run = Run {
+        specs: Some(&specs),
+        ..Run::default()
+    };
 
     let mut rows = Vec::new();
     // 1. Locality baseline.
     let mut base = LocalityScheduler::new(&dfs);
-    let out = run_selection(&dfs, &truth, &mut base, &sel);
+    let out = run.select(&dfs, &truth, &mut base);
     rows.push(("locality (oblivious)", out.per_node_bytes.clone()));
 
     // 2. DataNet, uniform byte targets.
     let uniform_plan = Algorithm1::new(&dfs, &view).plan_balanced();
     let mut s2 = PlannedScheduler::new(&uniform_plan, dfs.namenode());
-    let out = run_selection(&dfs, &truth, &mut s2, &sel);
+    let out = run.select(&dfs, &truth, &mut s2);
     rows.push(("datanet (uniform targets)", out.per_node_bytes.clone()));
 
     // 3. DataNet, capability-proportional targets.
@@ -56,7 +55,7 @@ fn main() {
         Algorithm1::with_capabilities(dfs.namenode(), &view, BalancePolicy::PacedGreedy, &caps)
             .plan_balanced();
     let mut s3 = PlannedScheduler::new(&cap_plan, dfs.namenode());
-    let out = run_selection(&dfs, &truth, &mut s3, &sel);
+    let out = run.select(&dfs, &truth, &mut s3);
     rows.push(("datanet (capability targets)", out.per_node_bytes.clone()));
 
     println!("== Heterogeneous cluster (16 fast + 16 stock nodes), Top-K Search ==");
@@ -68,7 +67,7 @@ fn main() {
         "job makespan (s)",
     ]);
     for (name, filtered) in &rows {
-        let rep = run_analysis_hetero(filtered, &job, &ana, &specs);
+        let rep = run.analyze(filtered, &job, None);
         let total: u64 = filtered.iter().sum();
         let mean = total as f64 / filtered.len() as f64;
         let max = *filtered.iter().max().expect("non-empty") as f64;

@@ -8,13 +8,13 @@
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_bench::{movie_dataset, Table, NODES};
-use datanet_mapreduce::{run_selection, DataNetScheduler, LocalityScheduler, SelectionConfig};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
     let maps = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
     let ranked = catalog.by_size_desc();
-    let sel = SelectionConfig::default();
+    let run = Run::default();
     let total_blocks = dfs.block_count();
 
     println!("== I/O savings from ElasticMap block skipping ==");
@@ -34,9 +34,9 @@ fn main() {
         }
         let truth = dfs.subdataset_distribution(movie);
         let mut base = LocalityScheduler::new(&dfs);
-        let without = run_selection(&dfs, &truth, &mut base, &sel);
+        let without = run.select(&dfs, &truth, &mut base);
         let mut dn = DataNetScheduler::new(&dfs, &maps.view(movie));
-        let with = run_selection(&dfs, &truth, &mut dn, &sel);
+        let with = run.select(&dfs, &truth, &mut dn);
         assert_eq!(without.total_tasks, total_blocks);
         t.row([
             format!("#{}", rank + 1),

@@ -12,23 +12,19 @@ use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::word_count_profile;
 use datanet_bench::{movie_dataset, Table, NODES};
 use datanet_cluster::NodeSpec;
-use datanet_mapreduce::{
-    rebalance, run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{rebalance, DataNetScheduler, LocalityScheduler, Run};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
-    let sel = SelectionConfig::default();
-    let ana = AnalysisConfig::default();
+    let run = Run::default();
 
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel);
+    let without = run.select(&dfs, &truth, &mut base);
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection(&dfs, &truth, &mut dn, &sel);
+    let with = run.select(&dfs, &truth, &mut dn);
 
     let mig = rebalance(&without.per_node_bytes, &NodeSpec::marmot());
     println!("== Dynamic migration after an imbalanced selection ==");
@@ -44,9 +40,9 @@ fn main() {
 
     // End-to-end WordCount comparison across the three strategies.
     let job = word_count_profile();
-    let j_without = run_analysis(&without.per_node_bytes, &job, &ana);
-    let j_migrated = run_analysis(&mig.balanced, &job, &ana);
-    let j_with = run_analysis(&with.per_node_bytes, &job, &ana);
+    let j_without = run.analyze(&without.per_node_bytes, &job, None);
+    let j_migrated = run.analyze(&mig.balanced, &job, None);
+    let j_with = run.analyze(&with.per_node_bytes, &job, None);
 
     let mut t = Table::new([
         "strategy",

@@ -10,8 +10,8 @@
 use datanet_bench::{movie_dataset, Table, NODES};
 use datanet_cluster::NodeSpec;
 use datanet_mapreduce::{
-    run_selection, speculative_map_phase, speculative_map_phase_with_slowdowns, LocalityScheduler,
-    SelectionConfig, SpeculationConfig,
+    speculative_map_phase, speculative_map_phase_with_slowdowns, LocalityScheduler, Run,
+    SpeculationConfig,
 };
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
     let mut base = LocalityScheduler::new(&dfs);
-    let selection = run_selection(&dfs, &truth, &mut base, &SelectionConfig::default());
+    let selection = Run::default().select(&dfs, &truth, &mut base);
     let job = datanet_analytics::profiles::top_k_profile();
     let cfg = SpeculationConfig::default();
     let spec = NodeSpec::marmot();

@@ -15,9 +15,13 @@
 //! through the existing schedulers: healthy metadata plans through
 //! Algorithm 1 ([`DataNetScheduler`]); unhealthy metadata falls down the
 //! degradation ladder to a [`ResilientScheduler`] over the degraded view.
-//! Node crashes, slow windows and detector suspicion are priced by the
-//! fault engine (`run_selection_faulty_traced`, with its `node_lost`
-//! re-planning and shared retry budget), and each stage stamps its own
+//! Every stage is priced through one engine context
+//! ([`PipelineEnv`]'s `Run`): data stages by `Run::select`, which under
+//! the environment's `FaultConfig` also prices node crashes, slow windows
+//! and detector suspicion (with `node_lost` re-planning and a shared retry
+//! budget); aggregate stages by `Run::analyze` (reducers on the survivors
+//! under faults) or, on a healthy run with shuffle routing configured,
+//! `Run::analyze_shuffled`. Each stage stamps its own
 //! [`FaultStats`]/[`ObsSummary`] into the report. The *data plane* is
 //! computed from DFS ground truth — the simulation prices the stage, it
 //! does not corrupt its output — which is what makes resume-equivalence
@@ -39,10 +43,9 @@ use datanet::checkpoint::{self, CheckpointPlan};
 use datanet::{ElasticMapArray, MetaStore, RetryPolicy, StoreError};
 use datanet_dfs::{Dfs, Record, SubDatasetId};
 use datanet_mapreduce::{
-    key_range_of, range_matrix_truth, run_analysis_shuffled_traced, run_analysis_surviving_traced,
-    run_analysis_traced, run_selection_faulty_traced, run_selection_traced, AnalysisConfig,
-    DataNetScheduler, FaultConfig, FaultStats, JobProfile, MapScheduler, ResilientScheduler,
-    SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
+    key_range_of, range_matrix_truth, AnalysisConfig, DataNetScheduler, FaultConfig, FaultStats,
+    JobProfile, MapScheduler, ResilientScheduler, Run, SelectionConfig, SelectionOutcome,
+    ShufflePlan, ShufflePlanner,
 };
 use datanet_obs::{Category, Domain, FlightKind, ObsSummary, Recorder, SpanCtx};
 use serde::{Deserialize, Serialize, Value};
@@ -411,6 +414,17 @@ impl<'a> PipelineEnv<'a> {
             shuffle: None,
         }
     }
+
+    /// The engine context pricing this environment's stages.
+    fn run(&self, rec: &Recorder) -> Run<'_> {
+        Run {
+            sel: self.selection,
+            ana: self.analysis,
+            faults: self.faults.as_ref(),
+            rec: rec.clone(),
+            ..Run::default()
+        }
+    }
 }
 
 /// Per-stage entry of the pipeline report.
@@ -757,20 +771,13 @@ impl Pipeline {
                     let sel = last_selection.as_ref().expect("selection planned above");
                     let profile = job.profile();
                     let mut routed: Option<ShufflePlan> = None;
-                    let report = if env.faults.is_some() {
-                        let mut alive = vec![true; sel.per_node_bytes.len()];
-                        for &n in &sel.faults.crashed_nodes {
-                            alive[n] = false;
-                        }
-                        run_analysis_surviving_traced(
-                            &sel.per_node_bytes,
-                            &profile,
-                            &env.analysis,
-                            &alive,
-                            sel.end,
-                            &stage_rec,
-                        )
-                    } else if let Some(p) = env.shuffle {
+                    let run = Run {
+                        base: sel.end,
+                        ..env.run(&stage_rec)
+                    };
+                    // Under faults the stage is priced on the survivors'
+                    // default reducer layout; the shuffle plan is not used.
+                    let report = if let Some(p) = env.shuffle.filter(|_| env.faults.is_none()) {
                         // Distribution-aware (or hash-baseline) shuffle:
                         // price the stage on the per-(node, key-range)
                         // matrix of the stage's input sub-dataset and route
@@ -787,24 +794,11 @@ impl Pipeline {
                                 (0..matrix.len() as u32).map(datanet_dfs::NodeId).collect(),
                             )
                         };
-                        let out = run_analysis_shuffled_traced(
-                            &matrix,
-                            &profile,
-                            &env.analysis,
-                            &plan,
-                            sel.end,
-                            &stage_rec,
-                        );
+                        let out = run.analyze_shuffled(&matrix, &profile, &plan);
                         routed = Some(plan);
                         out.report
                     } else {
-                        run_analysis_traced(
-                            &sel.per_node_bytes,
-                            &profile,
-                            &env.analysis,
-                            sel.end,
-                            &stage_rec,
-                        )
+                        run.analyze(&sel.per_node_bytes, &profile, None)
                     };
                     sim_secs = report.makespan_secs;
                     faults = sel.faults.clone();
@@ -905,17 +899,7 @@ impl Pipeline {
     ) -> (SelectionOutcome, u64, bool) {
         let truth = env.dfs.subdataset_distribution(s);
         let (mut sched, unknown, healthy) = env.meta.scheduler_for(env.dfs, s);
-        let outcome = match &env.faults {
-            Some(fc) => run_selection_faulty_traced(
-                env.dfs,
-                &truth,
-                sched.as_mut(),
-                &env.selection,
-                fc,
-                rec,
-            ),
-            None => run_selection_traced(env.dfs, &truth, sched.as_mut(), &env.selection, rec),
-        };
+        let outcome = env.run(rec).select(env.dfs, &truth, sched.as_mut());
         (outcome, unknown, healthy)
     }
 }

@@ -16,16 +16,13 @@ use datanet_analytics::{
     word_count_profile, AggJob, CrashPoint, MetaPlane, Pipeline, PipelineEnv, ShuffleParams,
     StageOp,
 };
-use datanet_cluster::SimTime;
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
 use datanet_mapreduce::{
-    apportion, planned_load_bound, range_matrix_estimate, range_matrix_truth,
-    run_analysis_shuffled, run_analysis_shuffled_traced, run_pipeline_faulty_traced,
-    run_pipeline_traced, run_selection_resilient_traced, run_selection_traced, AnalysisConfig,
-    DataNetScheduler, DelayScheduler, ExecutionReport, FaultConfig, LocalityScheduler,
-    PlannedScheduler, SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
+    apportion, planned_load_bound, range_matrix_estimate, range_matrix_truth, AnalysisConfig,
+    DataNetScheduler, DelayScheduler, LocalityScheduler, MapScheduler, PlannedScheduler, Run,
+    SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
 };
-use datanet_obs::Recorder;
+use datanet_obs::{Recorder, TraceData};
 use datanet_serve::{
     generate_stream, plan_digest, serve, serve_with_planted_staleness, Disposition, ScriptedEvent,
     ServeConfig, ServeEvent, StreamConfig, TenantMix, World,
@@ -285,22 +282,17 @@ pub fn check_scenario_instrumented(
     let plan = ff_oracles(&mut v, &dfs, &view);
 
     // ---- healthy engine: all four schedulers -------------------------
-    let cfg = SelectionConfig::default();
-    let loc = run_selection_traced(&dfs, &truth, &mut LocalityScheduler::new(&dfs), &cfg, rec);
-    let del = run_selection_traced(&dfs, &truth, &mut DelayScheduler::new(&dfs, 2), &cfg, rec);
-    let dn = run_selection_traced(
-        &dfs,
-        &truth,
-        &mut DataNetScheduler::new(&dfs, &view),
-        &cfg,
-        rec,
-    );
-    let ff = run_selection_traced(
+    let healthy = Run {
+        rec: rec.clone(),
+        ..Run::default()
+    };
+    let loc = healthy.select(&dfs, &truth, &mut LocalityScheduler::new(&dfs));
+    let del = healthy.select(&dfs, &truth, &mut DelayScheduler::new(&dfs, 2));
+    let dn = healthy.select(&dfs, &truth, &mut DataNetScheduler::new(&dfs, &view));
+    let ff = healthy.select(
         &dfs,
         &truth,
         &mut PlannedScheduler::new(&plan, dfs.namenode()),
-        &cfg,
-        rec,
     );
     for out in [&loc, &del, &dn, &ff] {
         conservation_oracle(&mut v, "healthy-conservation", out, &truth, total);
@@ -315,55 +307,36 @@ pub fn check_scenario_instrumented(
             ),
         ));
     }
-    makespan_oracle(&mut v, &cfg, &loc, &dn, &ff);
+    makespan_oracle(&mut v, &healthy.sel, &loc, &dn, &ff);
 
     // ---- faulty engine + traced twins --------------------------------
     if sc.has_faults() {
         let fc = sc.fault_config();
-        type FaultyRun<'a> = Box<dyn Fn(&Recorder) -> SelectionOutcome + 'a>;
-        let runs: [(&str, FaultyRun); 3] = [
+        let faulty = Run {
+            faults: Some(&fc),
+            ..Run::default()
+        };
+        // Each twin run gets a fresh scheduler: twins must not share
+        // scheduler state.
+        type Fresh<'a> = Box<dyn Fn() -> Box<dyn MapScheduler + 'a> + 'a>;
+        let schedulers: [(&str, Fresh); 3] = [
             (
                 "locality",
-                Box::new(|rec| {
-                    faulty_run(
-                        &dfs,
-                        &truth,
-                        &mut LocalityScheduler::new(&dfs),
-                        &cfg,
-                        &fc,
-                        rec,
-                    )
-                }),
+                Box::new(|| Box::new(LocalityScheduler::new(&dfs))),
             ),
             (
                 "datanet",
-                Box::new(|rec| {
-                    faulty_run(
-                        &dfs,
-                        &truth,
-                        &mut DataNetScheduler::new(&dfs, &view),
-                        &cfg,
-                        &fc,
-                        rec,
-                    )
-                }),
+                Box::new(|| Box::new(DataNetScheduler::new(&dfs, &view))),
             ),
             (
                 "planned",
-                Box::new(|rec| {
-                    faulty_run(
-                        &dfs,
-                        &truth,
-                        &mut PlannedScheduler::new(&plan, dfs.namenode()),
-                        &cfg,
-                        &fc,
-                        rec,
-                    )
-                }),
+                Box::new(|| Box::new(PlannedScheduler::new(&plan, dfs.namenode()))),
             ),
         ];
-        for (name, run) in &runs {
-            let out = traced_twin(&mut v, name, run);
+        for (name, fresh) in &schedulers {
+            let (out, _) = traced_twin(&mut v, name, &faulty, |run| {
+                run.select(&dfs, &truth, fresh().as_mut())
+            });
             conservation_oracle(&mut v, "fault-conservation", &out, &truth, total);
             dead_zero_credit_oracle(&mut v, &out);
         }
@@ -658,44 +631,38 @@ fn dead_zero_credit_oracle(v: &mut Vec<Violation>, out: &SelectionOutcome) {
     }
 }
 
-/// One faulty selection run with a fresh scheduler (twin runs must not
-/// share scheduler state).
-fn faulty_run(
-    dfs: &Dfs,
-    truth: &[u64],
-    scheduler: &mut dyn datanet_mapreduce::MapScheduler,
-    cfg: &SelectionConfig,
-    fc: &FaultConfig,
-    rec: &Recorder,
-) -> SelectionOutcome {
-    datanet_mapreduce::run_selection_faulty_traced(dfs, truth, scheduler, cfg, fc, rec)
-}
-
-/// Tracing must be a pure observer: the outcome with a live recorder is
-/// bit-identical to the outcome with `Recorder::off()`, and every span the
-/// live run opened is closed.
-fn traced_twin(
+/// Tracing must be a pure observer: `call` on `base` with the recorder
+/// off and on returns bit-identical results, and every span the live run
+/// opened is closed. Returns the untraced result and the live trace.
+fn traced_twin<T: PartialEq>(
     v: &mut Vec<Violation>,
     name: &str,
-    run: &dyn Fn(&Recorder) -> SelectionOutcome,
-) -> SelectionOutcome {
-    let off = run(&Recorder::off());
-    let rec = Recorder::new();
-    let on = run(&rec);
+    base: &Run,
+    mut call: impl FnMut(&Run) -> T,
+) -> (T, TraceData) {
+    let off = call(&Run {
+        rec: Recorder::off(),
+        ..base.clone()
+    });
+    let traced = Run {
+        rec: Recorder::new(),
+        ..base.clone()
+    };
+    let on = call(&traced);
     if off != on {
         v.push(Violation::new(
             "traced-twin",
             format!("{name}: traced run diverged from untraced twin"),
         ));
     }
-    let data = rec.take();
+    let data = traced.rec.take();
     if data.unclosed_spans() != 0 {
         v.push(Violation::new(
             "unclosed-spans",
             format!("{name}: {} spans never closed", data.unclosed_spans()),
         ));
     }
-    off
+    (off, data)
 }
 
 /// How many more tasks `a`'s busiest node runs than `b`'s busiest node
@@ -759,34 +726,19 @@ fn resilient_oracles(
             None
         }
     };
-    let (Some(mut store_a), Some(mut store_b)) = (open(v), open(v)) else {
+    // Each twin run reads through its own store handle (same files).
+    let (Some(store_a), Some(store_b)) = (open(v), open(v)) else {
         return;
     };
-    let cfg = SelectionConfig::default();
-    let off = run_selection_resilient_traced(
-        dfs,
-        sc.target_id(),
-        &mut store_a,
-        &cfg,
-        fc.as_ref(),
-        &Recorder::off(),
-    );
-    let rec = Recorder::new();
-    let on =
-        run_selection_resilient_traced(dfs, sc.target_id(), &mut store_b, &cfg, fc.as_ref(), &rec);
-    if off != on {
-        v.push(Violation::new(
-            "traced-twin",
-            "resilient: traced run diverged from untraced twin".to_string(),
-        ));
-    }
-    let data = rec.take();
-    if data.unclosed_spans() != 0 {
-        v.push(Violation::new(
-            "unclosed-spans",
-            format!("resilient: {} spans never closed", data.unclosed_spans()),
-        ));
-    }
+    let mut stores = [store_a, store_b].into_iter();
+    let base = Run {
+        faults: fc.as_ref(),
+        ..Run::default()
+    };
+    let (off, _) = traced_twin(v, "resilient", &base, |run| {
+        let mut store = stores.next().expect("one store handle per twin run");
+        run.select_resilient(dfs, sc.target_id(), &mut store)
+    });
     conservation_oracle(v, "resilient-conservation", &off, truth, total);
     dead_zero_credit_oracle(v, &off);
     if !off.meta.est_error.is_finite() || off.meta.est_error < 0.0 {
@@ -818,49 +770,19 @@ fn resilient_oracles(
 /// crashed node.
 fn pipeline_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, view: &SubDatasetView) {
     let job = word_count_profile();
-    let sel_cfg = SelectionConfig::default();
-    let ana_cfg = AnalysisConfig::default();
     let fc = sc.has_faults().then(|| sc.fault_config());
-    let run = |rec: &Recorder| -> ExecutionReport {
-        let mut sched = DataNetScheduler::new(dfs, view);
-        match &fc {
-            Some(fc) => run_pipeline_faulty_traced(
-                dfs,
-                sc.target_id(),
-                &mut sched,
-                &job,
-                &sel_cfg,
-                &ana_cfg,
-                fc,
-                rec,
-            ),
-            None => run_pipeline_traced(
-                dfs,
-                sc.target_id(),
-                &mut sched,
-                &job,
-                &sel_cfg,
-                &ana_cfg,
-                rec,
-            ),
-        }
+    let base = Run {
+        faults: fc.as_ref(),
+        ..Run::default()
     };
-    let off = run(&Recorder::off());
-    let rec = Recorder::new();
-    let on = run(&rec);
-    if off != on {
-        v.push(Violation::new(
-            "traced-twin",
-            "pipeline: traced run diverged from untraced twin".to_string(),
-        ));
-    }
-    let data = rec.take();
-    if data.unclosed_spans() != 0 {
-        v.push(Violation::new(
-            "unclosed-spans",
-            format!("pipeline: {} spans never closed", data.unclosed_spans()),
-        ));
-    }
+    let (off, data) = traced_twin(v, "pipeline", &base, |run| {
+        run.pipeline(
+            dfs,
+            sc.target_id(),
+            &mut DataNetScheduler::new(dfs, view),
+            &job,
+        )
+    });
     let chains = data.crash_chains();
     let crashed = &off.selection.faults.crashed_nodes;
     if chains.len() != crashed.len() {
@@ -1133,32 +1055,15 @@ fn shuffle_oracles(
 
     // Engine runs: conservation and traced twins, both plans.
     let job = word_count_profile();
-    let cfg = AnalysisConfig::default();
     let expected: u64 = truth
         .iter()
         .map(|row| job.map_output_bytes(row.iter().sum()))
         .sum();
     let mut aware_out = None;
     for (name, plan) in [("aware", &aware), ("hash", &hash)] {
-        let off = run_analysis_shuffled(&truth, &job, &cfg, plan);
-        let rec = Recorder::new();
-        let on = run_analysis_shuffled_traced(&truth, &job, &cfg, plan, SimTime::ZERO, &rec);
-        if on != off {
-            v.push(Violation::new(
-                "traced-twin",
-                format!("shuffled {name} run diverged from its untraced twin"),
-            ));
-        }
-        let data = rec.take();
-        if data.unclosed_spans() != 0 {
-            v.push(Violation::new(
-                "unclosed-spans",
-                format!(
-                    "shuffled {name} run: {} spans never closed",
-                    data.unclosed_spans()
-                ),
-            ));
-        }
+        let (off, _) = traced_twin(v, &format!("shuffled {name}"), &Run::default(), |run| {
+            run.analyze_shuffled(&truth, &job, plan)
+        });
         let received: u64 = off.received.iter().sum();
         if received != expected {
             v.push(Violation::new(
@@ -1786,28 +1691,15 @@ mod tests {
             let truth = dfs.subdataset_distribution(target);
             let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(sc.alpha));
             let view = arr.view(target);
-            let cfg = SelectionConfig::default();
-            let loc = run_selection_traced(
-                &dfs,
-                &truth,
-                &mut LocalityScheduler::new(&dfs),
-                &cfg,
-                &Recorder::off(),
-            );
-            let dn = run_selection_traced(
-                &dfs,
-                &truth,
-                &mut DataNetScheduler::new(&dfs, &view),
-                &cfg,
-                &Recorder::off(),
-            );
+            let run = Run::default();
+            let cfg = run.sel;
+            let loc = run.select(&dfs, &truth, &mut LocalityScheduler::new(&dfs));
+            let dn = run.select(&dfs, &truth, &mut DataNetScheduler::new(&dfs, &view));
             let plan = FordFulkersonPlanner::new(&dfs, &view).plan();
-            let ff = run_selection_traced(
+            let ff = run.select(
                 &dfs,
                 &truth,
                 &mut PlannedScheduler::new(&plan, dfs.namenode()),
-                &cfg,
-                &Recorder::off(),
             );
             let slack = cfg.task_overhead.as_secs_f64() * MAKESPAN_SLACK_TASKS;
             let count_slack = cfg.task_overhead.as_secs_f64() * excess_peak_tasks(&ff, &dn) as f64;

@@ -17,8 +17,8 @@
 //!   all-locality and the fractional-optimum lower bound, and the
 //!   makespan ordering FF ≤ greedy ≤ locality (with a documented
 //!   task-overhead tolerance);
-//! * **traced twins** — every `*_traced` run is bit-identical to its
-//!   untraced twin, and no observability span is left unclosed;
+//! * **traced twins** — every engine run is bit-identical with the
+//!   recorder off and on, and no observability span is left unclosed;
 //! * **streaming ingest** — replaying the world's blocks as a stream
 //!   through [`datanet::Ingestor`] yields a snapshot byte-identical to a
 //!   from-scratch rebuild at every arrival prefix, including across a

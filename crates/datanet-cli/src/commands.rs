@@ -17,9 +17,9 @@ use datanet_analytics::{
 use datanet_bench::Table;
 use datanet_dfs::{DfsConfig, NodeId, SubDatasetId, Topology};
 use datanet_mapreduce::{
-    range_matrix_estimate, range_matrix_truth, run_analysis_shuffled, run_pipeline,
-    run_pipeline_traced, AnalysisConfig, DataNetScheduler, JobProfile, LocalityScheduler,
-    SelectionConfig, ShufflePlan, ShufflePlanner,
+    range_matrix_estimate, range_matrix_truth, run_analysis_shuffled, run_pipeline, AnalysisConfig,
+    DataNetScheduler, JobProfile, LocalityScheduler, Run, SelectionConfig, ShufflePlan,
+    ShufflePlanner,
 };
 use datanet_obs::Recorder;
 use datanet_workloads::{GithubConfig, MoviesConfig, WorldCupConfig};
@@ -721,7 +721,13 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let without = run_pipeline(&dfs, s, &mut base, &job, &sel, &ana);
     let view = ElasticMapArray::build_traced(&dfs, &Separation::Alpha(alpha), &rec).view(s);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let mut with = run_pipeline_traced(&dfs, s, &mut dn, &job, &sel, &ana, &rec);
+    let traced = Run {
+        sel,
+        ana,
+        rec: rec.clone(),
+        ..Run::default()
+    };
+    let mut with = traced.pipeline(&dfs, s, &mut dn, &job);
     if rec.is_enabled() {
         with.obs = Some(rec.snapshot().summary(None));
     }

@@ -3,7 +3,11 @@
 //!
 //! The paper's experimental pipeline (Section V-A) is reproduced end to end:
 //!
-//! 1. **Selection** ([`engine::run_selection`]): map tasks scan every
+//! Every run goes through one [`engine::Run`] context (phase configs,
+//! optional fault injection, recorder); a healthy run is the fault-tolerant
+//! event loop with no faults scripted.
+//!
+//! 1. **Selection** ([`Run::select`]): map tasks scan every
 //!    in-scope block, filter the target sub-dataset and store it locally.
 //!    Which node scans which block is decided by a pluggable
 //!    [`scheduler::MapScheduler`]:
@@ -12,11 +16,14 @@
 //!    [`scheduler::DataNetScheduler`] (Algorithm 1, "with DataNet"),
 //!    [`scheduler::PlannedScheduler`] (any precomputed assignment, e.g.
 //!    Ford–Fulkerson).
-//! 2. **Analysis** ([`engine::run_analysis`]): a MapReduce job
+//! 2. **Analysis** ([`Run::analyze`]): a MapReduce job
 //!    ([`job::JobProfile`]) runs over the filtered per-node partitions —
 //!    map (disk + job-specific CPU), shuffle (all-to-all transfers over the
 //!    simulated NICs), reduce. The report records per-node map times,
 //!    per-reducer shuffle times and the makespan — Figures 5, 6 and 7.
+//!    [`Run::analyze_shuffled`] routes the same job through a
+//!    distribution-aware [`shuffle::ShufflePlan`], and [`Run::pipeline`]
+//!    chains both phases on one simulated timeline.
 //! 3. **SkewTune-like baseline** ([`skewtune`]): the runtime-migration
 //!    alternative the paper discusses (Section V-A-4) — rebalance the
 //!    filtered partitions after selection and account the network cost.
@@ -30,13 +37,8 @@ pub mod skewtune;
 pub mod speculation;
 
 pub use engine::{
-    capability_of, planned_makespan, run_analysis, run_analysis_aggregated,
-    run_analysis_aggregated_traced, run_analysis_hetero, run_analysis_shuffled,
-    run_analysis_shuffled_traced, run_analysis_surviving, run_analysis_surviving_traced,
-    run_analysis_traced, run_pipeline, run_pipeline_faulty, run_pipeline_faulty_traced,
-    run_pipeline_traced, run_selection, run_selection_faulty, run_selection_faulty_traced,
-    run_selection_resilient, run_selection_resilient_traced, run_selection_traced, AnalysisConfig,
-    FaultConfig, SelectionConfig,
+    capability_of, planned_makespan, run_analysis_shuffled, run_pipeline, AnalysisConfig,
+    FaultConfig, Run, SelectionConfig,
 };
 pub use job::JobProfile;
 pub use report::{

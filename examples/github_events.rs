@@ -8,7 +8,7 @@
 use datanet::prelude::*;
 use datanet_analytics::session::session_stats;
 use datanet_dfs::{Dfs, DfsConfig, Topology};
-use datanet_mapreduce::{run_selection, DataNetScheduler, LocalityScheduler, SelectionConfig};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 use datanet_workloads::{EventType, GithubConfig};
 
 fn main() {
@@ -35,12 +35,12 @@ fn main() {
         truth.iter().filter(|&&b| b > 0).count()
     );
 
-    let sel = SelectionConfig::default();
+    let run = Run::default();
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel);
+    let without = run.select(&dfs, &truth, &mut base);
     let maps = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
     let mut dn = DataNetScheduler::new(&dfs, &maps.view(issue));
-    let with = run_selection(&dfs, &truth, &mut dn, &sel);
+    let with = run.select(&dfs, &truth, &mut dn);
     println!(
         "IssueEvent selection imbalance: locality {:.2} → DataNet {:.2}",
         without.imbalance(),

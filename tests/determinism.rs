@@ -6,12 +6,10 @@ use datanet_analytics::profiles::word_count_profile;
 use datanet_bench::{github_dataset, movie_dataset, NODES};
 use datanet_cluster::{FaultPlan, SimTime};
 use datanet_mapreduce::{
-    run_pipeline, run_pipeline_faulty, run_pipeline_faulty_traced, run_pipeline_traced,
-    run_selection, run_selection_faulty, run_selection_faulty_traced, run_selection_resilient,
-    run_selection_resilient_traced, run_selection_traced, AnalysisConfig, DataNetScheduler,
-    FaultConfig, LocalityScheduler, SelectionConfig,
+    run_pipeline, AnalysisConfig, DataNetScheduler, FaultConfig, LocalityScheduler, Run,
+    SelectionConfig,
 };
-use datanet_obs::Recorder;
+use datanet_obs::{Recorder, TraceData};
 
 #[test]
 fn movie_pipeline_is_bitwise_reproducible() {
@@ -70,31 +68,49 @@ fn parallel_scan_is_deterministic() {
 }
 
 // ---------------------------------------------------------------------------
-// Traced twins: every `*_traced` entry point must be observation-transparent.
-// The recorder may watch, but never steer — results are bit-identical whether
-// tracing is disabled (`Recorder::off()`), active, or the untraced function
-// is called instead; and an active recorder closes every span it opens.
+// Traced twins: every `Run` entry point must be observation-transparent. The
+// recorder may watch, but never steer — results are bit-identical whether
+// tracing is disabled (`Recorder::off()`) or active; and an active recorder
+// closes every span it opens.
+
+/// Runs `call` on `base` with the recorder off and then on, asserts both
+/// results are identical and every span closed, and returns the untraced
+/// result with the live trace.
+fn twin<T: PartialEq + std::fmt::Debug>(base: Run, call: impl Fn(&Run) -> T) -> (T, TraceData) {
+    let off = call(&Run {
+        rec: Recorder::off(),
+        ..base.clone()
+    });
+    let traced = Run {
+        rec: Recorder::new(),
+        ..base
+    };
+    assert_eq!(off, call(&traced), "tracing perturbed the run");
+    let trace = traced.rec.take();
+    assert_eq!(trace.unclosed_spans(), 0);
+    (off, trace)
+}
 
 #[test]
 fn traced_selection_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
-    let run_untraced = || {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_selection(&dfs, &truth, &mut sched, &SelectionConfig::default())
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_selection_traced(&dfs, &truth, &mut sched, &SelectionConfig::default(), rec)
-    };
-    let plain = run_untraced();
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    let trace = rec.take();
-    assert_eq!(trace.unclosed_spans(), 0);
+    let (_, trace) = twin(Run::default(), |run| {
+        run.select(&dfs, &truth, &mut LocalityScheduler::new(&dfs))
+    });
     assert!(trace.sim_end_us() > 0, "an active recorder saw the run");
+    // A healthy run reports no fault counters.
+    let counters: Vec<&str> = trace.counters.keys().map(String::as_str).collect();
+    assert_eq!(
+        counters,
+        [
+            "bytes_read",
+            "local_tasks",
+            "remote_tasks",
+            "tasks_executed"
+        ]
+    );
 }
 
 #[test]
@@ -103,34 +119,17 @@ fn traced_pipeline_twin_matches_untraced() {
     let hot = catalog.most_reviewed();
     let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
     let view = arr.view(hot);
-    let run_untraced = || {
-        let mut sched = DataNetScheduler::new(&dfs, &view);
-        run_pipeline(
-            &dfs,
-            hot,
-            &mut sched,
-            &word_count_profile(),
-            &SelectionConfig::default(),
-            &AnalysisConfig::default(),
-        )
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut sched = DataNetScheduler::new(&dfs, &view);
-        run_pipeline_traced(
-            &dfs,
-            hot,
-            &mut sched,
-            &word_count_profile(),
-            &SelectionConfig::default(),
-            &AnalysisConfig::default(),
-            rec,
-        )
-    };
-    let plain = run_untraced();
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
+    let sched = || DataNetScheduler::new(&dfs, &view);
+    let (plain, _) = twin(Run::default(), |run| {
+        run.pipeline(&dfs, hot, &mut sched(), &word_count_profile())
+    });
+    // The kept shorthand is the same healthy, untraced run.
+    let job = word_count_profile();
+    let (sel, ana) = (SelectionConfig::default(), AnalysisConfig::default());
+    assert_eq!(
+        plain,
+        run_pipeline(&dfs, hot, &mut sched(), &job, &sel, &ana)
+    );
 }
 
 #[test]
@@ -138,49 +137,28 @@ fn traced_faulty_selection_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
-    let faults = || {
-        FaultConfig::new(
-            FaultPlan::none(NODES as usize)
-                .crash(1, SimTime::from_micros(5_000))
-                .slow(
-                    2,
-                    SimTime::from_micros(0),
-                    SimTime::from_micros(50_000),
-                    3.0,
-                ),
-        )
+    let faults = FaultConfig::new(
+        FaultPlan::none(NODES as usize)
+            .crash(1, SimTime::from_micros(5_000))
+            .slow(
+                2,
+                SimTime::from_micros(0),
+                SimTime::from_micros(50_000),
+                3.0,
+            ),
+    );
+    let base = Run {
+        faults: Some(&faults),
+        ..Run::default()
     };
-    let run_untraced = || {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_selection_faulty(
-            &dfs,
-            &truth,
-            &mut sched,
-            &SelectionConfig::default(),
-            &faults(),
-        )
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_selection_faulty_traced(
-            &dfs,
-            &truth,
-            &mut sched,
-            &SelectionConfig::default(),
-            &faults(),
-            rec,
-        )
-    };
-    let plain = run_untraced();
+    let (plain, _) = twin(base, |run| {
+        run.select(&dfs, &truth, &mut LocalityScheduler::new(&dfs))
+    });
     assert_eq!(
         plain.faults.crashed_nodes,
         vec![1],
         "the scripted crash must actually fire"
     );
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
 }
 
 #[test]
@@ -188,37 +166,15 @@ fn traced_faulty_pipeline_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let faults =
-        || FaultConfig::new(FaultPlan::none(NODES as usize).crash(2, SimTime::from_micros(8_000)));
-    let run_untraced = || {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_pipeline_faulty(
-            &dfs,
-            hot,
-            &mut sched,
-            &word_count_profile(),
-            &SelectionConfig::default(),
-            &AnalysisConfig::default(),
-            &faults(),
-        )
+        FaultConfig::new(FaultPlan::none(NODES as usize).crash(2, SimTime::from_micros(8_000)));
+    let base = Run {
+        faults: Some(&faults),
+        ..Run::default()
     };
-    let run_traced = |rec: &Recorder| {
+    twin(base, |run| {
         let mut sched = LocalityScheduler::new(&dfs);
-        run_pipeline_faulty_traced(
-            &dfs,
-            hot,
-            &mut sched,
-            &word_count_profile(),
-            &SelectionConfig::default(),
-            &AnalysisConfig::default(),
-            &faults(),
-            rec,
-        )
-    };
-    let plain = run_untraced();
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
+        run.pipeline(&dfs, hot, &mut sched, &word_count_profile())
+    });
 }
 
 #[test]
@@ -233,26 +189,10 @@ fn traced_resilient_selection_twin_matches_untraced() {
     MetaStore::save_replicated(&arr, &refs, 8).expect("save");
     // Each run opens its own store: reads populate the shard cache, so a
     // shared handle would not be a fair twin comparison.
-    let open = || MetaStore::open_replicated(&refs, 2).expect("open");
-    let plain = {
-        let mut store = open();
-        run_selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default(), None)
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut store = open();
-        run_selection_resilient_traced(
-            &dfs,
-            hot,
-            &mut store,
-            &SelectionConfig::default(),
-            None,
-            rec,
-        )
-    };
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
+    twin(Run::default(), |run| {
+        let mut store = MetaStore::open_replicated(&refs, 2).expect("open");
+        run.select_resilient(&dfs, hot, &mut store)
+    });
     std::fs::remove_dir_all(&base).expect("cleanup");
 }
 

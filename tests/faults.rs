@@ -8,8 +8,8 @@ use datanet_bench::movie_dataset;
 use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{
-    run_pipeline_faulty, run_selection, run_selection_faulty, AnalysisConfig, DataNetScheduler,
-    FaultConfig, JobProfile, LocalityScheduler, MapScheduler, SelectionConfig, SelectionOutcome,
+    DataNetScheduler, FaultConfig, JobProfile, LocalityScheduler, MapScheduler, Run,
+    SelectionOutcome,
 };
 
 const NODES: u32 = 8;
@@ -28,10 +28,26 @@ fn mid_phase_crash(
     probe: &mut dyn MapScheduler,
     node: usize,
 ) -> FaultPlan {
-    let healthy = run_selection(dfs, truth, probe, &SelectionConfig::default());
+    let healthy = Run::default().select(dfs, truth, probe);
     let crash_at = SimTime::from_micros(healthy.end.as_micros() / 2);
     assert!(crash_at > SimTime::ZERO, "phase must have real duration");
     FaultPlan::none(NODES as usize).crash(node, crash_at)
+}
+
+/// Selection under `plan` with the default retry budget and oracle crash
+/// notification.
+fn faulty_select(
+    plan: FaultPlan,
+    dfs: &datanet_dfs::Dfs,
+    truth: &[u64],
+    sched: &mut dyn MapScheduler,
+) -> SelectionOutcome {
+    let faults = FaultConfig::new(plan);
+    let run = Run {
+        faults: Some(&faults),
+        ..Run::default()
+    };
+    run.select(dfs, truth, sched)
 }
 
 /// Max-over-mean imbalance across the *surviving* nodes only.
@@ -56,13 +72,7 @@ fn killing_one_of_eight_loses_no_bytes() {
     let mut probe = LocalityScheduler::new(&dfs);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut sched = LocalityScheduler::new(&dfs);
-    let out = run_selection_faulty(
-        &dfs,
-        &truth,
-        &mut sched,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-    );
+    let out = faulty_select(plan, &dfs, &truth, &mut sched);
     assert_eq!(out.faults.crashed_nodes, vec![3]);
     assert_eq!(out.per_node_bytes[3], 0, "dead node keeps nothing");
     assert_eq!(
@@ -82,13 +92,7 @@ fn killing_one_of_eight_loses_no_bytes() {
     let mut probe = DataNetScheduler::new(&dfs, &view);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty(
-        &dfs,
-        &truth,
-        &mut sched,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-    );
+    let out = faulty_select(plan, &dfs, &truth, &mut sched);
     assert_eq!(out.per_node_bytes[3], 0);
     assert_eq!(
         out.per_node_bytes.iter().sum::<u64>(),
@@ -104,13 +108,7 @@ fn faulty_runs_are_deterministic_for_a_fixed_seed() {
     let run = || {
         let plan = FaultPlan::random(NODES as usize, 0xFA17, 0.25, SimTime::from_secs(3));
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        run_selection_faulty(
-            &dfs,
-            &truth,
-            &mut sched,
-            &SelectionConfig::default(),
-            &FaultConfig::new(plan),
-        )
+        faulty_select(plan, &dfs, &truth, &mut sched)
     };
     let a = run();
     let b = run();
@@ -130,24 +128,12 @@ fn datanet_rebalances_survivors_better_than_locality() {
     let mut probe = LocalityScheduler::new(&dfs);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection_faulty(
-        &dfs,
-        &truth,
-        &mut base,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-    );
+    let without = faulty_select(plan, &dfs, &truth, &mut base);
 
     let mut probe = DataNetScheduler::new(&dfs, &view);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection_faulty(
-        &dfs,
-        &truth,
-        &mut dn,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-    );
+    let with = faulty_select(plan, &dfs, &truth, &mut dn);
 
     let dn_imb = survivor_imbalance(&with);
     let loc_imb = survivor_imbalance(&without);
@@ -163,15 +149,13 @@ fn faulty_pipeline_runs_end_to_end_on_survivors() {
     let mut probe = LocalityScheduler::new(&dfs);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 6);
     let mut sched = LocalityScheduler::new(&dfs);
-    let rep = run_pipeline_faulty(
-        &dfs,
-        hot,
-        &mut sched,
-        &JobProfile::new("wordcount", 3.0, 0.4, 1.0),
-        &SelectionConfig::default(),
-        &AnalysisConfig::default(),
-        &FaultConfig::new(plan),
-    );
+    let job = JobProfile::new("wordcount", 3.0, 0.4, 1.0);
+    let faults = FaultConfig::new(plan);
+    let run = Run {
+        faults: Some(&faults),
+        ..Run::default()
+    };
+    let rep = run.pipeline(&dfs, hot, &mut sched, &job);
     assert!(rep.faults().any());
     assert!(rep.faults().recovery_secs > 0.0);
     assert_eq!(

@@ -5,10 +5,7 @@
 use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::top_k_profile;
 use datanet_bench::{github_dataset, movie_dataset, NODES};
-use datanet_mapreduce::{
-    run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 use datanet_workloads::EventType;
 
 #[test]
@@ -42,15 +39,14 @@ fn issue_distribution_is_still_imbalanced_over_blocks() {
 fn datanet_still_helps_but_less_than_on_movies() {
     let improvement = |dfs: &datanet_dfs::Dfs, s: datanet_dfs::SubDatasetId| {
         let truth = dfs.subdataset_distribution(s);
-        let sel = SelectionConfig::default();
-        let ana = AnalysisConfig::default();
+        let run = Run::default();
         let mut base = LocalityScheduler::new(dfs);
-        let without = run_selection(dfs, &truth, &mut base, &sel);
+        let without = run.select(dfs, &truth, &mut base);
         let view = ElasticMapArray::build(dfs, &Separation::Alpha(0.3)).view(s);
         let mut dn = DataNetScheduler::new(dfs, &view);
-        let with = run_selection(dfs, &truth, &mut dn, &sel);
-        let jw = run_analysis(&without.per_node_bytes, &top_k_profile(), &ana);
-        let jd = run_analysis(&with.per_node_bytes, &top_k_profile(), &ana);
+        let with = run.select(dfs, &truth, &mut dn);
+        let jw = run.analyze(&without.per_node_bytes, &top_k_profile(), None);
+        let jd = run.analyze(&with.per_node_bytes, &top_k_profile(), None);
         1.0 - jd.map_summary().max() / jw.map_summary().max()
     };
 

@@ -5,7 +5,7 @@
 
 use datanet_cluster::SimTime;
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
-use datanet_mapreduce::{run_selection, LocalityScheduler, SelectionConfig};
+use datanet_mapreduce::{LocalityScheduler, Run, SelectionConfig};
 use datanet_stats::{GammaDist, ImbalanceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,7 +51,11 @@ fn node_workloads(seed: u64) -> Vec<f64> {
         task_overhead: SimTime::from_millis(5),
         ..Default::default()
     };
-    let out = run_selection(&dfs, &truth, &mut sched, &cfg);
+    let out = Run {
+        sel: cfg,
+        ..Run::default()
+    }
+    .select(&dfs, &truth, &mut sched);
     out.per_node_bytes
         .iter()
         .map(|&b| b as f64 / UNIT)
@@ -114,7 +118,7 @@ fn imbalance_grows_with_cluster_size_in_simulation_too() {
         );
         let truth = dfs.subdataset_distribution(SubDatasetId(0));
         let mut sched = LocalityScheduler::new(&dfs);
-        run_selection(&dfs, &truth, &mut sched, &SelectionConfig::default()).imbalance()
+        Run::default().select(&dfs, &truth, &mut sched).imbalance()
     };
     let small = spread(8);
     let large = spread(128);

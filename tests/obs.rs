@@ -10,8 +10,7 @@ use datanet_bench::movie_dataset;
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{
-    run_pipeline, run_pipeline_traced, run_selection, run_selection_faulty_traced, AnalysisConfig,
-    DataNetScheduler, FaultConfig, MapScheduler, SelectionConfig,
+    run_pipeline, AnalysisConfig, DataNetScheduler, FaultConfig, MapScheduler, Run, SelectionConfig,
 };
 use datanet_obs::{NodeClass, Recorder};
 
@@ -31,7 +30,7 @@ fn mid_phase_crash(
     probe: &mut dyn MapScheduler,
     node: usize,
 ) -> FaultPlan {
-    let healthy = run_selection(dfs, truth, probe, &SelectionConfig::default());
+    let healthy = Run::default().select(dfs, truth, probe);
     let crash_at = SimTime::from_micros(healthy.end.as_micros() / 2);
     assert!(crash_at > SimTime::ZERO, "phase must have real duration");
     FaultPlan::none(NODES as usize).crash(node, crash_at)
@@ -44,16 +43,15 @@ fn traced_faulty_run_covers_every_task_and_crash() {
     let mut probe = DataNetScheduler::new(&dfs, &view);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
 
-    let rec = Recorder::new();
+    let faults = FaultConfig::new(plan);
+    let run = Run {
+        faults: Some(&faults),
+        rec: Recorder::new(),
+        ..Run::default()
+    };
+    let rec = &run.rec;
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty_traced(
-        &dfs,
-        &truth,
-        &mut sched,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-        &rec,
-    );
+    let out = run.select(&dfs, &truth, &mut sched);
     assert_eq!(out.faults.crashed_nodes, vec![3]);
     let data = rec.take();
 
@@ -98,16 +96,15 @@ fn detector_chain_latencies_match_fault_stats() {
     let mut probe = DataNetScheduler::new(&dfs, &view);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 5);
 
-    let rec = Recorder::new();
+    let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
+    let run = Run {
+        faults: Some(&faults),
+        rec: Recorder::new(),
+        ..Run::default()
+    };
+    let rec = &run.rec;
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty_traced(
-        &dfs,
-        &truth,
-        &mut sched,
-        &SelectionConfig::default(),
-        &FaultConfig::with_detection(plan, DetectorConfig::default()),
-        &rec,
-    );
+    let out = run.select(&dfs, &truth, &mut sched);
     assert_eq!(out.faults.crashed_nodes, vec![5]);
     let data = rec.take();
     assert_eq!(data.unclosed_spans(), 0);
@@ -133,16 +130,15 @@ fn straggler_idler_classification_is_consistent_with_busy_times() {
     let mut probe = DataNetScheduler::new(&dfs, &view);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
 
-    let rec = Recorder::new();
+    let faults = FaultConfig::new(plan);
+    let run = Run {
+        faults: Some(&faults),
+        rec: Recorder::new(),
+        ..Run::default()
+    };
+    let rec = &run.rec;
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty_traced(
-        &dfs,
-        &truth,
-        &mut sched,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-        &rec,
-    );
+    let out = run.select(&dfs, &truth, &mut sched);
     let summary = rec.take().summary(None);
 
     assert!(!summary.node_util.is_empty());
@@ -182,17 +178,22 @@ fn straggler_idler_classification_is_consistent_with_busy_times() {
 fn recorder_off_report_is_byte_identical_to_a_traced_run() {
     let (dfs, hot, _) = scenario();
     let job = datanet_analytics::profiles::word_count_profile();
-    let sel = SelectionConfig::default();
-    let ana = AnalysisConfig::default();
+    let (sel, ana) = (SelectionConfig::default(), AnalysisConfig::default());
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
 
     let mut plain_sched = DataNetScheduler::new(&dfs, &view);
     let plain = run_pipeline(&dfs, hot, &mut plain_sched, &job, &sel, &ana);
 
-    let rec = Recorder::new();
+    let run = Run {
+        rec: Recorder::new(),
+        ..Run::default()
+    };
     let mut traced_sched = DataNetScheduler::new(&dfs, &view);
-    let traced = run_pipeline_traced(&dfs, hot, &mut traced_sched, &job, &sel, &ana, &rec);
-    assert!(!rec.take().spans.is_empty(), "the recorder really was on");
+    let traced = run.pipeline(&dfs, hot, &mut traced_sched, &job);
+    assert!(
+        !run.rec.take().spans.is_empty(),
+        "the recorder really was on"
+    );
 
     // Tracing never perturbs the simulation, and an untraced report
     // serializes without any obs key at all.

@@ -13,10 +13,7 @@ use datanet_bench::{movie_dataset, NODES};
 use datanet_check::Scenario;
 use datanet_dfs::SubDatasetId;
 use datanet_integration::testkit::{expected_resume_from, write_prefixes, ReplicaDirs as TmpDirs};
-use datanet_mapreduce::{
-    run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
-    SelectionConfig,
-};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 use datanet_obs::Recorder;
 
 /// Run selection under both schedulers once (shared by several tests).
@@ -28,26 +25,26 @@ fn both_selections() -> (
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
-    let sel = SelectionConfig::default();
+    let run = Run::default();
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel);
+    let without = run.select(&dfs, &truth, &mut base);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection(&dfs, &truth, &mut dn, &sel);
+    let with = run.select(&dfs, &truth, &mut dn);
     (without, with)
 }
 
 #[test]
 fn datanet_improves_every_job_makespan() {
     let (without, with) = both_selections();
-    let ana = AnalysisConfig::default();
+    let run = Run::default();
     for job in [
         moving_average_profile(),
         word_count_profile(),
         histogram_profile(),
         top_k_profile(),
     ] {
-        let jw = run_analysis(&without.per_node_bytes, &job, &ana);
-        let jd = run_analysis(&with.per_node_bytes, &job, &ana);
+        let jw = run.analyze(&without.per_node_bytes, &job, None);
+        let jd = run.analyze(&with.per_node_bytes, &job, None);
         assert!(
             jd.makespan_secs < jw.makespan_secs,
             "{}: with {} !< without {}",
@@ -62,10 +59,10 @@ fn datanet_improves_every_job_makespan() {
 fn improvement_grows_with_compute_intensity() {
     // Figure 5(a)'s ordering: MovingAverage < WordCount <= Histogram < TopK.
     let (without, with) = both_selections();
-    let ana = AnalysisConfig::default();
+    let run = Run::default();
     let improvement = |job: &datanet_mapreduce::JobProfile| {
-        let jw = run_analysis(&without.per_node_bytes, job, &ana);
-        let jd = run_analysis(&with.per_node_bytes, job, &ana);
+        let jw = run.analyze(&without.per_node_bytes, job, None);
+        let jd = run.analyze(&with.per_node_bytes, job, None);
         1.0 - jd.makespan_secs / jw.makespan_secs
     };
     let ma = improvement(&moving_average_profile());
@@ -116,10 +113,10 @@ fn shuffle_gap_shrinks_with_datanet() {
     // Figure 7: without DataNet the shuffle phase takes several times
     // longer because reducers wait for straggler maps.
     let (without, with) = both_selections();
-    let ana = AnalysisConfig::default();
+    let run = Run::default();
     let job = word_count_profile();
-    let jw = run_analysis(&without.per_node_bytes, &job, &ana);
-    let jd = run_analysis(&with.per_node_bytes, &job, &ana);
+    let jw = run.analyze(&without.per_node_bytes, &job, None);
+    let jd = run.analyze(&with.per_node_bytes, &job, None);
     assert!(
         jw.shuffle_summary().max() > 2.0 * jd.shuffle_summary().max(),
         "shuffle without {} vs with {}",
@@ -289,8 +286,8 @@ fn map_time_spread_mirrors_byte_spread() {
     // Figure 6: per-node map times under the imbalanced selection spread by
     // roughly the byte ratio for compute-bound jobs.
     let (without, _) = both_selections();
-    let ana = AnalysisConfig::default();
-    let rep = run_analysis(&without.per_node_bytes, &top_k_profile(), &ana);
+    let run = Run::default();
+    let rep = run.analyze(&without.per_node_bytes, &top_k_profile(), None);
     let time_ratio = rep.map_summary().max() / rep.map_summary().min();
     assert!(
         time_ratio > 3.0,

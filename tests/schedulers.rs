@@ -7,8 +7,7 @@ use datanet_bench::{movie_dataset, NODES};
 use datanet_cluster::NodeSpec;
 use datanet_dfs::BlockId;
 use datanet_mapreduce::{
-    rebalance, run_selection, DataNetScheduler, LocalityScheduler, MapScheduler, PlannedScheduler,
-    SelectionConfig,
+    rebalance, DataNetScheduler, LocalityScheduler, MapScheduler, PlannedScheduler, Run,
 };
 use std::collections::HashSet;
 
@@ -57,12 +56,12 @@ fn paced_policy_beats_literal_best_fit() {
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
-    let sel = SelectionConfig::default();
+    let run = Run::default();
 
     let mut paced = DataNetScheduler::new(&dfs, &view);
-    let p = run_selection(&dfs, &truth, &mut paced, &sel);
+    let p = run.select(&dfs, &truth, &mut paced);
     let mut literal = DataNetScheduler::with_policy(&dfs, &view, BalancePolicy::BestFitTerminal);
-    let l = run_selection(&dfs, &truth, &mut literal, &sel);
+    let l = run.select(&dfs, &truth, &mut literal);
     assert!(
         p.imbalance() < l.imbalance(),
         "paced {} !< literal {}",
@@ -106,7 +105,7 @@ fn migration_baseline_reproduces_the_papers_cost() {
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &SelectionConfig::default());
+    let without = Run::default().select(&dfs, &truth, &mut base);
     let mig = rebalance(&without.per_node_bytes, &NodeSpec::marmot());
     assert!(
         mig.fraction > 0.15,
@@ -131,13 +130,13 @@ fn low_alpha_costs_balance() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let truth = dfs.subdataset_distribution(hot);
-    let sel = SelectionConfig::default();
+    let run = Run::default();
     let good = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
     let poor = ElasticMapArray::build(&dfs, &Separation::BloomOnly).view(hot);
     let mut dn_good = DataNetScheduler::new(&dfs, &good);
-    let g = run_selection(&dfs, &truth, &mut dn_good, &sel);
+    let g = run.select(&dfs, &truth, &mut dn_good);
     let mut dn_poor = DataNetScheduler::new(&dfs, &poor);
-    let p = run_selection(&dfs, &truth, &mut dn_poor, &sel);
+    let p = run.select(&dfs, &truth, &mut dn_poor);
     assert!(
         g.imbalance() < p.imbalance(),
         "alpha=0.3 {} !< bloom-only {}",

@@ -7,7 +7,7 @@
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_dfs::{Dfs, DfsConfig, SubDatasetId, Topology};
-use datanet_mapreduce::{run_selection, DataNetScheduler, LocalityScheduler, SelectionConfig};
+use datanet_mapreduce::{DataNetScheduler, LocalityScheduler, Run};
 use datanet_workloads::WorldCupConfig;
 
 fn worldcup_dfs() -> Dfs {
@@ -69,13 +69,13 @@ fn datanet_balances_the_access_log_too() {
     let dfs = worldcup_dfs();
     let hot = hot_object(&dfs);
     let truth = dfs.subdataset_distribution(hot);
-    let sel = SelectionConfig::default();
+    let run = Run::default();
 
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection(&dfs, &truth, &mut base, &sel);
+    let without = run.select(&dfs, &truth, &mut base);
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection(&dfs, &truth, &mut dn, &sel);
+    let with = run.select(&dfs, &truth, &mut dn);
 
     // In this regime the hot object is spread near-proportionally (see the
     // negative-result test above), so locality scheduling is already close
