@@ -35,7 +35,7 @@ use std::path::PathBuf;
 
 use datanet::store::MetaStore;
 use datanet::{ElasticMapArray, Separation};
-use datanet_bench::{movie_dataset, quick, Table, NODES};
+use datanet_bench::{movie_dataset, path_flag, quick, Table, NODES};
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_mapreduce::{
     DataNetScheduler, FaultConfig, LocalityScheduler, MapScheduler, Run, SelectionOutcome,
@@ -116,15 +116,6 @@ impl Serialize for FaultsReport {
         }
         Value::Object(entries)
     }
-}
-
-/// Value of `--<flag> PATH`, if given.
-fn path_flag(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
 }
 
 /// Damage `count` shards of a freshly saved 2-replica store. Fate cycles

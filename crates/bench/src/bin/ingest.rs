@@ -1,63 +1,17 @@
 //! Streaming-ingest trajectory: measures the incremental-maintenance
 //! speedup over rebuild-per-commit and gates it against the committed
-//! baseline (see `datanet_bench::ingest` for the methodology).
+//! baseline (see `datanet_bench::ingest` for the methodology and
+//! `datanet_bench::gate` for the report schema).
 //!
 //! ```text
-//! ingest [--quick] [--json BENCH_ingest.json] [--baseline BENCH_ingest_baseline.json]
+//! ingest [--quick] [--json BENCH_ingest.json] [--baseline BENCH_baseline.json]
 //! ```
 //!
-//! `--json` writes the measurement; `--baseline` compares the measured
-//! speedup ratio against a committed `BENCH_ingest_baseline.json` and
-//! exits non-zero on a >20% regression or a missed absolute floor — the
-//! CI `ingest-gate` job is exactly this invocation.
+//! Fails on a >20% ratio regression against the baseline's `ingest`
+//! section or a missed absolute floor.
 
-use datanet_bench::{quick, run_ingest_bench, IngestBenchReport};
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn path_flag(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 fn main() -> ExitCode {
-    let report = run_ingest_bench(quick());
-    report.print();
-
-    if let Some(path) = path_flag("--json") {
-        fs::write(&path, serde_json::to_vec_pretty(&report).unwrap()).unwrap();
-        println!("wrote JSON report to {}", path.display());
-    }
-
-    if let Some(path) = path_flag("--baseline") {
-        let raw = match fs::read_to_string(&path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline: IngestBenchReport = match serde_json::from_str(&raw) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot parse baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = report.gate_against(&baseline);
-        if violations.is_empty() {
-            println!("ingest gate: PASS against {}", path.display());
-        } else {
-            eprintln!("ingest gate: FAIL against {}", path.display());
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    datanet_bench::gate::main(&datanet_bench::ingest::BENCH)
 }

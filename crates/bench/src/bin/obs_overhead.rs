@@ -1,284 +1,17 @@
-//! Recorder overhead measurement: the observability plane must be close to
-//! free, or nobody leaves it on.
+//! Recorder overhead measurement: the always-on metrics plane and the
+//! full trace, each against the untraced workload (see
+//! `datanet_bench::obs` for the methodology and `datanet_bench::gate` for
+//! the report schema).
 //!
-//! Runs the same end-to-end traced workload — ElasticMap build, faulty
-//! selection under the EWMA detector, analysis job — three times per
-//! repetition: with `Recorder::off()` (every call a no-op), with the
-//! always-on **metrics** plane only (windowed aggregates, no trace
-//! buffer), and with the full trace recorder. The three modes run
-//! back-to-back inside each rep, so each rep yields a *paired* overhead
-//! fraction `(mode − off) / off` under near-identical machine state;
-//! the reported overhead is the median of those fractions, which host
-//! throughput drift and scheduler outliers cannot skew the way a
-//! min-per-mode comparison can.
+//! ```text
+//! obs_overhead [--quick] [--json BENCH_obs.json] [--baseline BENCH_baseline.json]
+//! ```
 //!
-//! `--json PATH` writes the measurement as `BENCH_obs.json`; `--baseline
-//! PATH` loads a committed `BENCH_obs_baseline.json` and gates: the
-//! metrics plane may cost at most 2% of the untraced makespan (it is
-//! meant to be always on) and the full trace at most 5%.
+//! Fails when the metrics plane costs more than 2% of the untraced
+//! makespan or the trace more than 5%, on each of three measurements.
 
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
-
-use datanet::{ElasticMapArray, Separation};
-use datanet_bench::{movie_dataset, quick, Table, NODES};
-use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
-use datanet_mapreduce::{DataNetScheduler, FaultConfig, LocalityScheduler, Run};
-use datanet_obs::{QueryCtx, Recorder};
-use serde::{Deserialize, Serialize};
-
-/// The always-on plane must stay under 2% to deserve the name.
-const METRICS_OVERHEAD_CAP: f64 = 0.02;
-/// The opt-in full trace may cost up to 5%.
-const TRACE_OVERHEAD_CAP: f64 = 0.05;
-
-#[derive(Serialize, Deserialize)]
-struct ObsOverheadReport {
-    reps: usize,
-    spans: usize,
-    /// Metric series produced by the metered run.
-    series: usize,
-    recorder_off_secs: f64,
-    /// Metrics plane only (`Recorder::off().with_metrics(...)`, scoped).
-    metrics_on_secs: f64,
-    recorder_on_secs: f64,
-    /// `(metrics_on − off) / off`.
-    metrics_overhead_fraction: f64,
-    /// `(trace_on − off) / off`.
-    overhead_fraction: f64,
-}
-
-impl ObsOverheadReport {
-    /// Gate this measurement: hard caps on both planes, plus the baseline
-    /// echoed for drift visibility. Returns human-readable violations.
-    fn gate_against(&self, base: &ObsOverheadReport) -> Vec<String> {
-        let mut v = Vec::new();
-        if self.metrics_overhead_fraction > METRICS_OVERHEAD_CAP {
-            v.push(format!(
-                "always-on metrics overhead {:.2}% exceeds the {:.0}% cap \
-                 (baseline measured {:.2}%)",
-                self.metrics_overhead_fraction * 100.0,
-                METRICS_OVERHEAD_CAP * 100.0,
-                base.metrics_overhead_fraction * 100.0
-            ));
-        }
-        if self.overhead_fraction > TRACE_OVERHEAD_CAP {
-            v.push(format!(
-                "trace overhead {:.2}% exceeds the {:.0}% cap (baseline measured {:.2}%)",
-                self.overhead_fraction * 100.0,
-                TRACE_OVERHEAD_CAP * 100.0,
-                base.overhead_fraction * 100.0
-            ));
-        }
-        v
-    }
-}
-
-fn path_flag(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
 
 fn main() -> ExitCode {
-    let (dfs, catalog) = movie_dataset(NODES);
-    let hot = catalog.most_reviewed();
-    let truth = dfs.subdataset_distribution(hot);
-    let job = datanet_analytics::profiles::word_count_profile();
-
-    let mut probe = LocalityScheduler::new(&dfs);
-    let healthy_end = Run::default().select(&dfs, &truth, &mut probe).end;
-    let horizon = SimTime::from_micros(healthy_end.as_micros().max(1));
-    let plan = FaultPlan::random(NODES as usize, 0xFA01, 0.25, horizon);
-
-    // The instrumented workload, exactly as a `--trace`/`--metrics` user
-    // runs it.
-    let workload = |rec: &Recorder| {
-        let array = ElasticMapArray::build_traced(&dfs, &Separation::Alpha(0.3), rec);
-        let view = array.view(hot);
-        let faults = FaultConfig::with_detection(plan.clone(), DetectorConfig::default());
-        let mut sched = DataNetScheduler::new(&dfs, &view);
-        let run = Run {
-            faults: Some(&faults),
-            rec: rec.clone(),
-            ..Run::default()
-        };
-        let out = run.select(&dfs, &truth, &mut sched);
-        // The analysis places one reducer on every node, crashed ones
-        // included: it runs without the fault plan.
-        let analysis = Run {
-            faults: None,
-            base: out.end,
-            ..run
-        };
-        analysis.analyze(&out.per_node_bytes, &job, None);
-    };
-
-    // A single workload is ~3 ms of wall time — scheduler noise is a
-    // meaningful fraction of a 2% cap at that scale, and host throughput
-    // drifts on the timescale of a full measurement, so mins taken at
-    // different moments do not cancel. Each rep therefore runs the three
-    // modes back-to-back (machine state is near-constant across the
-    // ~10 ms rep), and the reported overhead is the *median over reps of
-    // the per-rep fraction* — a paired, outlier-robust estimator. Many
-    // short reps beat few long ones here: a rep hit by a neighbour burst
-    // contributes one outlier fraction the median discards, where a long
-    // rep would smear the burst into every sample.
-    let reps = if quick() { 20 } else { 120 };
-    let run_measurement = || {
-        let mut off_s = Vec::with_capacity(reps);
-        let mut met_s = Vec::with_capacity(reps);
-        let mut on_s = Vec::with_capacity(reps);
-        let mut spans = 0usize;
-        let mut series = 0usize;
-        // The always-on configuration: windowed metrics, query-scoped, no
-        // trace buffer. The registry is attached once per *process* and
-        // serves every query of its lifetime, so it persists across reps:
-        // the estimator below measures the steady-state per-event cost
-        // the cap governs, while first-sight series resolution (a few
-        // hundred canonical keys, paid once per process) lands in the
-        // first reps and is absorbed by the block medians like any other
-        // cold-cache effect.
-        let met = Recorder::off()
-            .with_metrics(1_000_000)
-            .scoped(QueryCtx::new(1).tenant("bench"));
-        // Warm-up rep to fill caches, then interleave the modes so drift
-        // hits all three equally.
-        workload(&Recorder::off());
-        for _ in 0..reps {
-            let t = Instant::now();
-            workload(&Recorder::off());
-            off_s.push(t.elapsed().as_secs_f64());
-
-            let t = Instant::now();
-            workload(&met);
-            met_s.push(t.elapsed().as_secs_f64());
-            let snap = met.metrics_snapshot().expect("metrics attached");
-            series = snap.counters.len() + snap.hists.len() + snap.gauges.len();
-
-            // The trace buffer is per-run state, so every pass records
-            // into a fresh recorder; buffer setup and teardown stay
-            // outside the timed region (both modes are measured on
-            // recording cost alone).
-            let rec = Recorder::new();
-            let t = Instant::now();
-            workload(&rec);
-            on_s.push(t.elapsed().as_secs_f64());
-            spans = rec.take().spans.len();
-        }
-        fn median(mut v: Vec<f64>) -> f64 {
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            v[v.len() / 2]
-        }
-        // Noise on a shared host only ever *adds* time, and it arrives
-        // in bursts (CPU steal, neighbour activity) riding on epochs
-        // that can outlast a whole run — a run-wide median is biased
-        // upward for the duration. Two block-local estimators cope with
-        // different noise shapes: the median of the per-rep paired
-        // fractions absorbs isolated bursts, and the lower-quartile
-        // comparison recovers the clean samples both modes still
-        // produce inside a bursty epoch (duty cycles are rarely 100%).
-        // Noise can only ever inflate overhead, never mask it, so the
-        // min across blocks and estimators tracks the true steady-state
-        // cost — the quantity the cap is about.
-        fn block_min_overhead(mode: &[f64], off: &[f64]) -> f64 {
-            const BLOCKS: usize = 4;
-            fn quartile(v: &[f64]) -> f64 {
-                let mut v = v.to_vec();
-                v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-                v[v.len() / 4]
-            }
-            let n = (mode.len() / BLOCKS.min(mode.len())).max(1);
-            mode.chunks(n)
-                .zip(off.chunks(n))
-                .map(|(m, o)| {
-                    let fracs: Vec<f64> = m.iter().zip(o).map(|(m, o)| (m - o) / o).collect();
-                    let paired = median(fracs);
-                    let q = (quartile(m) - quartile(o)) / quartile(o);
-                    paired.min(q)
-                })
-                .fold(f64::INFINITY, f64::min)
-        }
-        let off_med = median(off_s.clone());
-        let met_med = median(met_s.clone());
-        let on_med = median(on_s.clone());
-        let met_overhead = block_min_overhead(&met_s, &off_s).max(0.0);
-        let overhead = block_min_overhead(&on_s, &off_s).max(0.0);
-
-        println!("== Observability-plane overhead ({reps} paired reps, block medians) ==");
-        let mut t = Table::new(["recorder", "wall (ms)", "spans", "series"]);
-        t.row(["off", &format!("{:.3}", off_med * 1e3), "0", "0"]);
-        t.row([
-            "metrics",
-            &format!("{:.3}", met_med * 1e3),
-            "0",
-            &series.to_string(),
-        ]);
-        t.row([
-            "trace",
-            &format!("{:.3}", on_med * 1e3),
-            &spans.to_string(),
-            "0",
-        ]);
-        t.print();
-        println!(
-            "metrics overhead: {:.2}%, trace overhead: {:.2}% of the untraced makespan",
-            met_overhead * 100.0,
-            overhead * 100.0
-        );
-
-        ObsOverheadReport {
-            reps,
-            spans,
-            series,
-            recorder_off_secs: off_med,
-            metrics_on_secs: met_med,
-            recorder_on_secs: on_med,
-            metrics_overhead_fraction: met_overhead,
-            overhead_fraction: overhead,
-        }
-    };
-    let report = run_measurement();
-    if let Some(path) = path_flag("--json") {
-        fs::write(&path, serde_json::to_vec_pretty(&report).unwrap()).unwrap();
-        println!("wrote JSON report to {}", path.display());
-    }
-    if let Some(path) = path_flag("--baseline") {
-        let raw = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let base: ObsOverheadReport = serde_json::from_str(&raw)
-            .unwrap_or_else(|e| panic!("{} is not an obs report: {e}", path.display()));
-        // Noise can only inflate a measurement, never hide real
-        // overhead, so a failed attempt on a shared host is re-measured
-        // before the gate rules: a genuine regression fails all
-        // attempts, a noise spike rarely survives one.
-        const GATE_ATTEMPTS: usize = 3;
-        let mut attempt_report = report;
-        for attempt in 1..=GATE_ATTEMPTS {
-            let violations = attempt_report.gate_against(&base);
-            if violations.is_empty() {
-                println!(
-                    "obs gate: PASS against {} (metrics ≤ {:.0}%, trace ≤ {:.0}%)",
-                    path.display(),
-                    METRICS_OVERHEAD_CAP * 100.0,
-                    TRACE_OVERHEAD_CAP * 100.0
-                );
-                return ExitCode::SUCCESS;
-            }
-            for v in &violations {
-                println!("obs gate: {v}");
-            }
-            if attempt == GATE_ATTEMPTS {
-                println!("obs gate: FAIL after {GATE_ATTEMPTS} attempts");
-                return ExitCode::FAILURE;
-            }
-            println!("obs gate: attempt {attempt}/{GATE_ATTEMPTS} over cap; re-measuring");
-            attempt_report = run_measurement();
-        }
-    }
-    ExitCode::SUCCESS
+    datanet_bench::gate::main(&datanet_bench::obs::BENCH)
 }

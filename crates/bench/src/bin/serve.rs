@@ -2,66 +2,20 @@
 //! throughput of `datanet-serve` at 1/8/64 concurrent tenants with the
 //! epoch-keyed plan cache on and off, and gates the cache speedup and the
 //! simulated outcome against the committed baseline (see
-//! `datanet_bench::serve` for the methodology).
+//! `datanet_bench::serve` for the methodology and `datanet_bench::gate`
+//! for the report schema).
 //!
 //! ```text
-//! serve [--quick] [--json BENCH_serve.json] [--baseline BENCH_serve_baseline.json]
+//! serve [--quick] [--json BENCH_serve.json] [--baseline BENCH_baseline.json]
 //! ```
 //!
-//! `--json` writes the measurement; `--baseline` compares it against a
-//! committed `BENCH_serve_baseline.json` and exits non-zero when the
-//! cache-on decision throughput falls under 2x cache-off at the 64-tenant
-//! point, when caching changes any simulated outcome, or when the
-//! deterministic simulated numbers drift from the baseline — the CI
-//! `serve-gate` job is exactly this invocation.
+//! Fails when cache-on decision throughput falls under 2x cache-off at
+//! the 64-tenant point, when caching changes any simulated outcome, or
+//! when the deterministic simulated numbers drift from the baseline's
+//! `serve` section (a full-mode run: gate without `--quick`).
 
-use datanet_bench::{quick, run_serve_bench, ServeBenchReport};
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn path_flag(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 fn main() -> ExitCode {
-    let report = run_serve_bench(quick());
-    report.print();
-
-    if let Some(path) = path_flag("--json") {
-        fs::write(&path, serde_json::to_vec_pretty(&report).unwrap()).unwrap();
-        println!("wrote JSON report to {}", path.display());
-    }
-
-    if let Some(path) = path_flag("--baseline") {
-        let raw = match fs::read_to_string(&path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline: ServeBenchReport = match serde_json::from_str(&raw) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot parse baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = report.gate_against(&baseline);
-        if violations.is_empty() {
-            println!("serve gate: PASS against {}", path.display());
-        } else {
-            eprintln!("serve gate: FAIL against {}", path.display());
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    datanet_bench::gate::main(&datanet_bench::serve::BENCH)
 }

@@ -1,66 +1,19 @@
 //! Distribution-aware shuffle trajectory: measures the network-byte
 //! reduction of the reduce-side partitioner over hash partitioning across
 //! a Zipf skew sweep and gates it against the committed baseline (see
-//! `datanet_bench::shuffle` for the methodology).
+//! `datanet_bench::shuffle` for the methodology and `datanet_bench::gate`
+//! for the report schema).
 //!
 //! ```text
-//! shuffle [--quick] [--json BENCH_shuffle.json] [--baseline BENCH_shuffle_baseline.json]
+//! shuffle [--quick] [--json BENCH_shuffle.json] [--baseline BENCH_baseline.json]
 //! ```
 //!
-//! `--json` writes the measurement; `--baseline` compares the measured
-//! reduction ratio at the skewed point against a committed
-//! `BENCH_shuffle_baseline.json` and exits non-zero when the ratio leaves
-//! the ±20% band, misses the 2x absolute floor, or the aware plan's
-//! makespan regresses on the uniform workload — the CI `shuffle-gate` job
-//! is exactly this invocation.
+//! Fails when the reduction at the skewed point leaves the ±20% band
+//! around the baseline's `shuffle` section, misses the 2x absolute floor,
+//! or the aware plan's makespan regresses on the uniform workload.
 
-use datanet_bench::{quick, run_shuffle_bench, ShuffleBenchReport};
-use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn path_flag(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 fn main() -> ExitCode {
-    let report = run_shuffle_bench(quick());
-    report.print();
-
-    if let Some(path) = path_flag("--json") {
-        fs::write(&path, serde_json::to_vec_pretty(&report).unwrap()).unwrap();
-        println!("wrote JSON report to {}", path.display());
-    }
-
-    if let Some(path) = path_flag("--baseline") {
-        let raw = match fs::read_to_string(&path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline: ShuffleBenchReport = match serde_json::from_str(&raw) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot parse baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = report.gate_against(&baseline);
-        if violations.is_empty() {
-            println!("shuffle gate: PASS against {}", path.display());
-        } else {
-            eprintln!("shuffle gate: FAIL against {}", path.display());
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    datanet_bench::gate::main(&datanet_bench::shuffle::BENCH)
 }

@@ -3,7 +3,7 @@
 //!
 //! `BENCH_core.json` reports speedup *ratios* (legacy time ÷ current time
 //! measured in the same process, same workload, same compiler), so the
-//! perf gate is machine-independent: a slow CI runner slows both sides
+//! core gate is machine-independent: a slow CI runner slows both sides
 //! equally. The structures here reproduce the PR 2–4 hot path exactly:
 //!
 //! * SipHash `HashMap` bucket accounting (vs the interned `FastMap`),

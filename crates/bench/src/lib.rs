@@ -14,23 +14,46 @@
 //! meant to be.
 
 pub mod core;
+pub mod gate;
 pub mod ingest;
 pub mod legacy;
+pub mod obs;
 pub mod serve;
 pub mod setup;
 pub mod shuffle;
 pub mod table;
 
-pub use core::{run_core_bench, CoreBenchReport};
-pub use ingest::{run_ingest_bench, IngestBenchReport};
-pub use serve::{run_serve_bench, ServeBenchReport};
+pub use gate::{Bench, Gate, Report, Row};
 pub use setup::{github_dataset, movie_dataset, MOVIE_BLOCKS, NODES};
-pub use shuffle::{run_shuffle_bench, ShuffleBenchReport};
 pub use table::Table;
+
+use std::path::PathBuf;
+use std::time::Instant;
 
 /// Whether the binary was invoked with `--quick`: CI smoke mode. Binaries
 /// shrink their sweeps (fewer seeds, smaller clusters, fewer rows) so every
 /// figure exercises its full code path in a couple of seconds.
 pub fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
+}
+
+/// Value of `--<flag> PATH`, if given.
+pub fn path_flag(flag: &str) -> Option<PathBuf> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(PathBuf::from)
+}
+
+/// Minimum wall-seconds of `f` over `reps` repetitions.
+pub fn min_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let out = f();
+        best = best.min(t.elapsed().as_secs_f64());
+        std::hint::black_box(out);
+    }
+    best
 }

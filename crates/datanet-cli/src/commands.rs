@@ -137,7 +137,8 @@ and writes self-contained repro files into `--repro-dir` (default `.`);
 batched queries, planner) on the paper's 256-block workload, comparing
 against frozen pre-optimization reference implementations. `--json`
 writes the machine-readable report; `--baseline FILE` gates the measured
-speedups against a committed baseline and fails on regression.
+speedups against the `core` section of a baseline file such as the
+committed `BENCH_baseline.json` and fails on regression.
 
 `datanet pipeline` runs one of the analysis jobs as a checkpointed
 multi-stage pipeline: every completed stage commits a checksummed,
@@ -1033,42 +1034,31 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// parsed) *before* the measurement loop so a typo or a bad baseline
 /// path fails in milliseconds, not after a full bench run.
 fn cmd_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use datanet_bench::{run_core_bench, CoreBenchReport};
+    use datanet_bench::gate;
 
     args.reject_unknown(&["quick", "json", "baseline"])?;
-    let baseline = match args.get("baseline") {
+    let bench = &datanet_bench::core::BENCH;
+    let baseline = match args.get("baseline").map(Path::new) {
         None => None,
-        Some(path) => {
-            let raw = std::fs::read_to_string(path)?;
-            let report: CoreBenchReport = serde_json::from_str(&raw)
-                .map_err(|e| ArgError(format!("{path}: not a bench report: {e}")))?;
-            Some((path.to_string(), report))
-        }
-    };
-
-    let report = run_core_bench(args.flag("quick"));
-    write!(out, "{}", report.render())?;
-    if let Some(path) = args.get("json") {
-        let bytes = serde_json::to_vec_pretty(&report)
-            .map_err(|e| ArgError(format!("cannot serialise report: {e}")))?;
-        std::fs::write(path, bytes)?;
-        writeln!(out, "wrote JSON report to {path}")?;
-    }
-    if let Some((path, base)) = baseline {
-        let violations = report.gate_against(&base);
-        if violations.is_empty() {
-            writeln!(out, "perf gate: PASS against {path}")?;
-        } else {
-            for v in &violations {
-                writeln!(out, "perf gate: {v}")?;
+        Some(path) => match gate::load_baseline(path, bench.name) {
+            Ok(report) => Some((path, report)),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return Err(ArgError(e.to_string()).into())
             }
-            return Err(CliError::Check(format!(
-                "{} perf-gate violation(s) against {path}",
-                violations.len()
-            )));
-        }
+            Err(e) => return Err(e.into()),
+        },
+    };
+    let base = baseline.as_ref().map(|(path, report)| (*path, report));
+    let json = args.get("json").map(Path::new);
+    let violations = gate::run(bench, args.flag("quick"), json, base, out)?;
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError::Check(format!(
+            "{} core gate violation(s)",
+            violations.len()
+        )))
     }
-    Ok(())
 }
 
 fn val_u64(v: Option<&Value>) -> u64 {
